@@ -15,19 +15,22 @@
 
 use crate::fault::{FaultInjector, FaultStage};
 use crate::study::{ExprPriority, StudyConfig};
-use metaopt_compiler::{compile, prepare, CompileErrorKind, CompileStats};
+use metaopt_compiler::{compile, prepare, CompileErrorKind, CompileStats, Compiled, Passes};
 use metaopt_gp::{EvalError, EvalErrorKind, EvalOutcome, Expr};
 use metaopt_ir::budget;
 use metaopt_ir::interp::{run, RunConfig};
 use metaopt_ir::profile::FuncProfile;
 use metaopt_ir::Program;
-use metaopt_sim::exec::{simulate_traced, SimError};
+use metaopt_sim::exec::{apply_noise, record_sim, simulate_tier, SimError};
 use metaopt_sim::machine::MachineConfig;
+use metaopt_sim::MachineProgram;
 use metaopt_suite::{Benchmark, DataSet, SuiteError};
 use metaopt_trace::{json::Value, Tracer};
-use std::collections::hash_map::DefaultHasher;
+use std::collections::hash_map::{DefaultHasher, RandomState};
+use std::collections::HashMap;
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, Hash, Hasher};
+use std::sync::{Mutex, PoisonError};
 
 /// Failure while preparing a benchmark for evaluation (loading, inlining,
 /// interpreting the reference run, or timing the baseline). These occur
@@ -160,6 +163,7 @@ impl PreparedBench {
                 &compiled,
                 DataSet::Train,
                 0,
+                None,
                 &Tracer::disabled(),
             )
             .map_err(|e| err(format!("baseline timing failed: {e}")))?;
@@ -170,6 +174,7 @@ impl PreparedBench {
                 &compiled,
                 DataSet::Novel,
                 0,
+                None,
                 &Tracer::disabled(),
             )
             .map_err(|e| err(format!("baseline timing failed: {e}")))?;
@@ -186,7 +191,7 @@ impl PreparedBench {
         Self::try_new(study, bench).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    fn mem_for(&self, compiled: &metaopt_compiler::Compiled, ds: DataSet) -> Vec<u8> {
+    fn mem_for(&self, compiled: &Compiled, ds: DataSet) -> Vec<u8> {
         let base = match ds {
             DataSet::Train => &self.train_mem,
             DataSet::Novel => &self.novel_mem,
@@ -205,19 +210,37 @@ impl PreparedBench {
 
     /// Simulate `compiled` on `ds` with the given machine, differentially
     /// verifying the program result against the interpreter's.
+    ///
+    /// With a `cache`, a program this benchmark has already simulated on
+    /// `ds` is answered from it instead; `machine` must then be the
+    /// evaluation machine, the one the cache's entries were simulated on.
+    /// Noise and the answer check run after the lookup, on hits and misses
+    /// alike.
+    #[allow(clippy::too_many_arguments)]
     fn try_simulate(
         &self,
         study: &StudyConfig,
         machine: &MachineConfig,
-        compiled: &metaopt_compiler::Compiled,
+        compiled: &Compiled,
         ds: DataSet,
         noise_seed: u64,
+        cache: Option<&SimCache>,
         tracer: &Tracer,
     ) -> Result<u64, EvalError> {
-        let mem = self.mem_for(compiled, ds);
-        let noise = (study.noise > 0.0).then_some((study.noise, noise_seed));
-        let result = simulate_traced(&compiled.code, machine, mem, noise, study.sim_tier, tracer)
-            .map_err(|e| match e {
+        let span = tracer.begin();
+        let simulate = || {
+            let mem = self.mem_for(compiled, ds);
+            simulate_tier(&compiled.code, machine, mem, study.sim_tier).map(|r| SimSummary {
+                ret: r.ret,
+                cycles: r.cycles,
+                insts: r.insts,
+            })
+        };
+        let (outcome, cached) = match cache {
+            Some(c) => c.get_or_simulate(ds, compiled.mem_size, &compiled.code, simulate),
+            None => (simulate(), false),
+        };
+        let sim = outcome.map_err(|e| match e {
             SimError::InstLimit(n) => EvalError::new(
                 EvalErrorKind::Budget,
                 format!(
@@ -240,25 +263,55 @@ impl PreparedBench {
                 format!("{}: simulation fault on {ds:?}: {other}", self.name),
             ),
         })?;
-        if result.ret != self.expected_ret(ds) {
+        let cycles = if study.noise > 0.0 {
+            apply_noise(sim.cycles, study.noise, noise_seed)
+        } else {
+            sim.cycles
+        };
+        record_sim(tracer, &span, cycles, sim.insts, study.sim_tier, cached);
+        if sim.ret != self.expected_ret(ds) {
             return Err(EvalError::new(
                 EvalErrorKind::WrongAnswer,
                 format!(
                     "{}: compiled program returned {} but the interpreter returned {} on \
                      {ds:?} — a compiler bug exposed by a priority function",
                     self.name,
-                    result.ret,
+                    sim.ret,
                     self.expected_ret(ds)
                 ),
             ));
         }
-        Ok(result.cycles)
+        Ok(cycles)
+    }
+
+    /// Compile this benchmark for an evaluation, classifying a failure in
+    /// the evaluation taxonomy. `plan` names a non-study pipeline plan in
+    /// the error message.
+    fn compile_for_eval(
+        &self,
+        study: &StudyConfig,
+        passes: &Passes,
+        plan: Option<&metaopt_compiler::PipelinePlan>,
+    ) -> Result<Compiled, EvalError> {
+        compile(&self.prepared, &self.profile, &study.machine, passes).map_err(|e| {
+            let kind = match e.kind {
+                CompileErrorKind::InvariantViolation => EvalErrorKind::IrCheck,
+                CompileErrorKind::Validation => EvalErrorKind::Validation,
+                _ => EvalErrorKind::Compile,
+            };
+            let message = match plan {
+                Some(plan) => format!("{}: plan {plan}: {e}", self.name),
+                None => format!("{}: {e}", self.name),
+            };
+            EvalError::new(kind, message)
+        })
     }
 
     /// Compile with `expr` in the study's priority slot and simulate on
-    /// `ds`, optionally consulting a fault injector at each pipeline stage.
-    /// `attempt` is the engine's retry attempt index; only the (transient)
-    /// timeout stage is attempt-sensitive.
+    /// `ds`, optionally consulting a fault injector at each pipeline stage
+    /// and a simulation cache. `attempt` is the engine's retry attempt
+    /// index; only the (transient) timeout stage is attempt-sensitive.
+    #[allow(clippy::too_many_arguments)]
     fn eval_cycles(
         &self,
         study: &StudyConfig,
@@ -266,6 +319,7 @@ impl PreparedBench {
         ds: DataSet,
         fault: Option<&FaultInjector>,
         attempt: u32,
+        cache: Option<&SimCache>,
         tracer: &Tracer,
     ) -> Result<u64, EvalError> {
         let key = expr.key();
@@ -275,15 +329,7 @@ impl PreparedBench {
         let pri = ExprPriority(expr);
         let mut passes = study.passes_with(&pri);
         passes.tracer = tracer.clone();
-        let compiled =
-            compile(&self.prepared, &self.profile, &study.machine, &passes).map_err(|e| {
-                let kind = match e.kind {
-                    CompileErrorKind::InvariantViolation => EvalErrorKind::IrCheck,
-                    CompileErrorKind::Validation => EvalErrorKind::Validation,
-                    _ => EvalErrorKind::Compile,
-                };
-                EvalError::new(kind, format!("{}: {e}", self.name))
-            })?;
+        let compiled = self.compile_for_eval(study, &passes, None)?;
         if let Some(f) = fault {
             f.check(FaultStage::CheckIr, &key, &self.name)?;
             f.check(FaultStage::Validate, &key, &self.name)?;
@@ -299,7 +345,15 @@ impl PreparedBench {
         key.hash(&mut h);
         self.name.hash(&mut h);
         (ds == DataSet::Novel).hash(&mut h);
-        self.try_simulate(study, &self.eval_machine, &compiled, ds, h.finish(), tracer)
+        self.try_simulate(
+            study,
+            &self.eval_machine,
+            &compiled,
+            ds,
+            h.finish(),
+            cache,
+            tracer,
+        )
     }
 
     /// Compile with `expr` in the study's priority slot and simulate on
@@ -310,7 +364,7 @@ impl PreparedBench {
         expr: &Expr,
         ds: DataSet,
     ) -> Result<u64, EvalError> {
-        self.eval_cycles(study, expr, ds, None, 0, &Tracer::disabled())
+        self.eval_cycles(study, expr, ds, None, 0, None, &Tracer::disabled())
     }
 
     /// [`PreparedBench::try_cycles_with`], emitting `pass` and `sim` events
@@ -322,7 +376,7 @@ impl PreparedBench {
         ds: DataSet,
         tracer: &Tracer,
     ) -> Result<u64, EvalError> {
-        self.eval_cycles(study, expr, ds, None, 0, tracer)
+        self.eval_cycles(study, expr, ds, None, 0, None, tracer)
     }
 
     /// Panicking wrapper around [`PreparedBench::try_cycles_with`] for
@@ -389,21 +443,14 @@ impl PreparedBench {
         ds: DataSet,
         tracer: &Tracer,
     ) -> Result<(u64, CompileStats), EvalError> {
-        let passes = metaopt_compiler::Passes {
+        let passes = Passes {
             plan: plan.clone(),
             tracer: tracer.clone(),
             ..study.baseline_passes()
         };
-        let compiled =
-            compile(&self.prepared, &self.profile, &study.machine, &passes).map_err(|e| {
-                let kind = match e.kind {
-                    CompileErrorKind::InvariantViolation => EvalErrorKind::IrCheck,
-                    CompileErrorKind::Validation => EvalErrorKind::Validation,
-                    _ => EvalErrorKind::Compile,
-                };
-                EvalError::new(kind, format!("{}: plan {plan}: {e}", self.name))
-            })?;
-        let cycles = self.try_simulate(study, &self.eval_machine, &compiled, ds, 0, tracer)?;
+        let compiled = self.compile_for_eval(study, &passes, Some(plan))?;
+        let cycles =
+            self.try_simulate(study, &self.eval_machine, &compiled, ds, 0, None, tracer)?;
         Ok((cycles, compiled.stats))
     }
 
@@ -444,19 +491,25 @@ impl PreparedBench {
         ds: DataSet,
         tracer: &Tracer,
     ) -> Result<[u64; 3], EvalError> {
+        self.objectives(study, plan, expr, ds, None, tracer)
+    }
+
+    /// [`PreparedBench::try_objectives_traced`], consulting `cache` for
+    /// the simulation.
+    fn objectives(
+        &self,
+        study: &StudyConfig,
+        plan: &metaopt_compiler::PipelinePlan,
+        expr: &Expr,
+        ds: DataSet,
+        cache: Option<&SimCache>,
+        tracer: &Tracer,
+    ) -> Result<[u64; 3], EvalError> {
         let pri = ExprPriority(expr);
         let mut passes = study.passes_with(&pri);
         passes.plan = plan.clone();
         passes.tracer = tracer.clone();
-        let compiled =
-            compile(&self.prepared, &self.profile, &study.machine, &passes).map_err(|e| {
-                let kind = match e.kind {
-                    CompileErrorKind::InvariantViolation => EvalErrorKind::IrCheck,
-                    CompileErrorKind::Validation => EvalErrorKind::Validation,
-                    _ => EvalErrorKind::Compile,
-                };
-                EvalError::new(kind, format!("{}: plan {plan}: {e}", self.name))
-            })?;
+        let compiled = self.compile_for_eval(study, &passes, Some(plan))?;
         // Noise is seeded from the full genome (plan and expression), so
         // memoized objective vectors stay consistent while distinct
         // genomes see distinct measurement error.
@@ -465,11 +518,86 @@ impl PreparedBench {
         plan.to_string().hash(&mut h);
         self.name.hash(&mut h);
         (ds == DataSet::Novel).hash(&mut h);
-        let cycles =
-            self.try_simulate(study, &self.eval_machine, &compiled, ds, h.finish(), tracer)?;
+        let cycles = self.try_simulate(
+            study,
+            &self.eval_machine,
+            &compiled,
+            ds,
+            h.finish(),
+            cache,
+            tracer,
+        )?;
         let size = compiled.stats.counters.static_insts;
         let compile_cost = (plan.steps().len() as u64).saturating_mul(size);
         Ok([cycles, size, compile_cost])
+    }
+}
+
+/// The part of a simulation that fitness depends on, before the answer
+/// check and the per-genome noise.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct SimSummary {
+    ret: i64,
+    cycles: u64,
+    insts: u64,
+}
+
+type SimOutcome = Result<SimSummary, SimError>;
+
+/// One benchmark's simulation cache for one search: the outcome of every
+/// distinct (data set, `mem_size`, [`MachineProgram`]) simulated so far —
+/// the pre-noise [`SimSummary`] or the deterministic [`SimError`].
+///
+/// The key is the program's injective byte encoding
+/// ([`MachineProgram::encode`]) behind the data set and memory size, and
+/// two keys match only when their bytes are equal; the hash only picks
+/// the bucket. The machine, simulator tier and memory images are not in
+/// the key: the owner fixes the benchmark and evaluation machine, the
+/// memory image is a function of (data set, `mem_size`), and the tiers are
+/// bit-identical by contract.
+struct SimCache<S = RandomState> {
+    entries: Mutex<HashMap<Box<[u8]>, SimOutcome, S>>,
+}
+
+impl SimCache {
+    fn new() -> Self {
+        Self::with_hasher(RandomState::new())
+    }
+}
+
+impl<S: BuildHasher> SimCache<S> {
+    fn with_hasher(hasher: S) -> Self {
+        SimCache {
+            entries: Mutex::new(HashMap::with_hasher(hasher)),
+        }
+    }
+
+    /// The cached outcome for this simulation, or `simulate()`'s, stored
+    /// for next time. The flag is true on a hit. Two workers that miss on
+    /// the same key both simulate and store equal outcomes.
+    fn get_or_simulate(
+        &self,
+        ds: DataSet,
+        mem_size: usize,
+        code: &MachineProgram,
+        simulate: impl FnOnce() -> SimOutcome,
+    ) -> (SimOutcome, bool) {
+        let mut key = Vec::with_capacity(9 + 8 * code.num_insts());
+        key.push(match ds {
+            DataSet::Train => 0,
+            DataSet::Novel => 1,
+        });
+        key.extend_from_slice(&(mem_size as u64).to_le_bytes());
+        code.encode(&mut key);
+        let lock = || self.entries.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(hit) = lock().get(key.as_slice()) {
+            return (hit.clone(), true);
+        }
+        let outcome = simulate();
+        // An exact-size copy: shrinking `key` in place would leave its
+        // unused tail as a hole next to every entry.
+        lock().insert(Box::from(key.as_slice()), outcome.clone());
+        (outcome, false)
     }
 }
 
@@ -483,9 +611,14 @@ impl PreparedBench {
 /// penalty fitness. With the `fault-inject` feature, an optional
 /// [`FaultInjector`] can deterministically force such failures for
 /// robustness testing.
+///
+/// The evaluator owns one simulation cache per benchmark, so a search
+/// simulates each distinct machine program once; the caches are dropped
+/// with the evaluator.
 pub struct StudyEvaluator<'a> {
     study: &'a StudyConfig,
     benches: &'a [PreparedBench],
+    caches: Vec<SimCache>,
     fault: Option<FaultInjector>,
     tracer: Tracer,
 }
@@ -496,6 +629,7 @@ impl<'a> StudyEvaluator<'a> {
         StudyEvaluator {
             study,
             benches,
+            caches: benches.iter().map(|_| SimCache::new()).collect(),
             fault: None,
             tracer: Tracer::disabled(),
         }
@@ -536,6 +670,7 @@ impl metaopt_gp::Evaluator for StudyEvaluator<'_> {
             DataSet::Train,
             self.fault.as_ref(),
             attempt,
+            Some(&self.caches[case]),
             &tracer,
         ) {
             Ok(cycles) => EvalOutcome::Score(pb.baseline_train_cycles as f64 / cycles as f64),
@@ -548,10 +683,12 @@ impl metaopt_gp::Evaluator for StudyEvaluator<'_> {
 /// co-evolution: each `(plan, expr)` genome compiles under the genome's
 /// own pipeline plan with the expression in the study's priority slot, and
 /// scores as the integer objective vector of
-/// [`PreparedBench::try_objectives_traced`] on the training data.
+/// [`PreparedBench::try_objectives_traced`] on the training data. Like
+/// [`StudyEvaluator`], it owns one simulation cache per benchmark.
 pub struct StudyMultiEvaluator<'a> {
     study: &'a StudyConfig,
     benches: &'a [PreparedBench],
+    caches: Vec<SimCache>,
     tracer: Tracer,
 }
 
@@ -561,6 +698,7 @@ impl<'a> StudyMultiEvaluator<'a> {
         StudyMultiEvaluator {
             study,
             benches,
+            caches: benches.iter().map(|_| SimCache::new()).collect(),
             tracer: Tracer::disabled(),
         }
     }
@@ -595,7 +733,14 @@ impl metaopt_gp::MultiEvaluator for StudyMultiEvaluator<'_> {
         let tracer = self
             .tracer
             .scoped([("bench", Value::str(pb.name.as_str()))]);
-        pb.try_objectives_traced(self.study, &plan, expr, DataSet::Train, &tracer)
+        pb.objectives(
+            self.study,
+            &plan,
+            expr,
+            DataSet::Train,
+            Some(&self.caches[case]),
+            &tracer,
+        )
     }
 }
 
@@ -704,6 +849,149 @@ mod tests {
             EvalOutcome::Score(s) => assert!((s - 1.0).abs() < 1e-12, "speedup {s}"),
             EvalOutcome::Failed(e) => panic!("baseline seed failed: {e}"),
         }
+    }
+
+    /// A program that sets every instruction field somewhere.
+    fn keyed_program() -> MachineProgram {
+        use metaopt_ir::{BlockId, Inst, Opcode, VReg, Width};
+        use metaopt_sim::Bundle;
+        let ld = Inst::new(Opcode::Ld(Width::B4))
+            .dst(VReg(3))
+            .args(&[VReg(1)])
+            .imm(-8)
+            .guarded(VReg(2));
+        let fmov = Inst::new(Opcode::FMovI).dst(VReg(4)).fimm(1.5);
+        let cbr = Inst::new(Opcode::CBr).args(&[VReg(2)]).target(BlockId(1));
+        let ret = Inst::new(Opcode::Ret).args(&[VReg(3)]);
+        MachineProgram {
+            blocks: vec![
+                vec![
+                    Bundle {
+                        insts: vec![ld, fmov],
+                    },
+                    Bundle { insts: vec![cbr] },
+                ],
+                vec![Bundle { insts: vec![ret] }],
+            ],
+            entry: 0,
+        }
+    }
+
+    /// `keyed_program` and variants of it that each differ in one thing
+    /// that can change a simulation, each with its (data set, mem_size).
+    fn key_variants() -> Vec<(&'static str, DataSet, usize, MachineProgram)> {
+        use metaopt_ir::{BlockId, Opcode, VReg, Width};
+        let base = keyed_program();
+        let edit = |name, f: &dyn Fn(&mut MachineProgram)| {
+            let mut p = base.clone();
+            f(&mut p);
+            (name, DataSet::Train, 4096, p)
+        };
+        fn ld(p: &mut MachineProgram) -> &mut metaopt_ir::Inst {
+            &mut p.blocks[0][0].insts[0]
+        }
+        let nan = |payload: u64| f64::from_bits(0x7ff8_0000_0000_0000 | payload);
+        vec![
+            ("base", DataSet::Train, 4096, base.clone()),
+            ("novel data", DataSet::Novel, 4096, base.clone()),
+            ("mem_size", DataSet::Train, 4097, base.clone()),
+            edit("ld width 1", &|p| ld(p).op = Opcode::Ld(Width::B1)),
+            edit("ld width 8", &|p| ld(p).op = Opcode::Ld(Width::B8)),
+            edit("st width 4", &|p| ld(p).op = Opcode::St(Width::B4)),
+            edit("fld", &|p| ld(p).op = Opcode::FLd),
+            edit("dst", &|p| ld(p).dst = Some(VReg(5))),
+            edit("no dst", &|p| ld(p).dst = None),
+            edit("arg", &|p| ld(p).args[0] = VReg(2)),
+            edit("extra arg", &|p| ld(p).args.push(VReg(0))),
+            edit("7 args", &|p| ld(p).args = vec![VReg(1); 7]),
+            edit("8 args", &|p| ld(p).args = vec![VReg(1); 8]),
+            edit("imm", &|p| ld(p).imm = 8),
+            edit("imm zero", &|p| ld(p).imm = 0),
+            edit("imm min", &|p| ld(p).imm = i64::MIN),
+            edit("pred", &|p| ld(p).pred = Some(VReg(0))),
+            edit("no pred", &|p| ld(p).pred = None),
+            edit("target", &|p| {
+                p.blocks[0][1].insts[0].target = Some(BlockId(0))
+            }),
+            edit("no target", &|p| p.blocks[0][1].insts[0].target = None),
+            edit("fimm", &|p| p.blocks[0][0].insts[1].fimm = 2.5),
+            edit("fimm +0", &|p| p.blocks[0][0].insts[1].fimm = 0.0),
+            edit("fimm -0", &|p| p.blocks[0][0].insts[1].fimm = -0.0),
+            edit("fimm nan 1", &|p| p.blocks[0][0].insts[1].fimm = nan(1)),
+            edit("fimm nan 2", &|p| p.blocks[0][0].insts[1].fimm = nan(2)),
+            edit("bundle boundary", &|p| {
+                let fmov = p.blocks[0][0].insts.pop().unwrap();
+                p.blocks[0][1].insts.insert(0, fmov);
+            }),
+            edit("block boundary", &|p| {
+                let cbr = p.blocks[0].pop().unwrap();
+                p.blocks[1].insert(0, cbr);
+            }),
+            edit("entry", &|p| p.entry = 1),
+        ]
+    }
+
+    /// Every variant misses a cache holding all the others, then hits its
+    /// own entry and no other.
+    fn assert_variants_never_share<S: BuildHasher>(cache: &SimCache<S>) {
+        let variants = key_variants();
+        let outcome = |i: usize| {
+            Ok(SimSummary {
+                ret: i as i64,
+                cycles: 1000 + i as u64,
+                insts: 1,
+            })
+        };
+        for (i, (name, ds, mem, prog)) in variants.iter().enumerate() {
+            let (got, hit) = cache.get_or_simulate(*ds, *mem, prog, || outcome(i));
+            assert!(!hit, "{name} shared an entry with an earlier variant");
+            assert_eq!(got, outcome(i));
+        }
+        for (i, (name, ds, mem, prog)) in variants.iter().enumerate() {
+            let (got, hit) = cache.get_or_simulate(*ds, *mem, prog, || panic!("{name} must hit"));
+            assert!(hit);
+            assert_eq!(got, outcome(i), "{name} answered from another entry");
+        }
+    }
+
+    #[test]
+    fn sim_cache_keys_distinguish_every_field() {
+        let variants = key_variants();
+        // The derived equality would merge these two and never match a
+        // NaN program with itself; the byte key does neither.
+        let fimm = |name| &variants.iter().find(|v| v.0 == name).unwrap().3;
+        assert_eq!(fimm("fimm +0"), fimm("fimm -0"));
+        assert_ne!(fimm("fimm nan 1"), fimm("fimm nan 1"));
+        assert_variants_never_share(&SimCache::new());
+    }
+
+    #[test]
+    fn sim_cache_resolves_forced_hash_collisions_by_full_comparison() {
+        #[derive(Default)]
+        struct Constant;
+        impl Hasher for Constant {
+            fn finish(&self) -> u64 {
+                7
+            }
+            fn write(&mut self, _: &[u8]) {}
+        }
+        let cache = SimCache::with_hasher(std::hash::BuildHasherDefault::<Constant>::default());
+        assert_variants_never_share(&cache);
+    }
+
+    #[test]
+    fn sim_cache_stores_simulation_errors() {
+        let cache = SimCache::new();
+        let prog = keyed_program();
+        let limit = || Err(SimError::InstLimit(50));
+        assert_eq!(
+            cache.get_or_simulate(DataSet::Train, 64, &prog, limit),
+            (Err(SimError::InstLimit(50)), false)
+        );
+        assert_eq!(
+            cache.get_or_simulate(DataSet::Train, 64, &prog, || unreachable!()),
+            (Err(SimError::InstLimit(50)), true)
+        );
     }
 
     #[cfg(feature = "fault-inject")]

@@ -261,6 +261,84 @@ impl Opcode {
         })
     }
 
+    /// Dense one-byte code, distinct for every opcode and width. Used
+    /// where programs are encoded as bytes (e.g. exact cache keys).
+    pub fn code(self) -> u8 {
+        use Opcode::*;
+        let width = |w: Width| match w {
+            Width::B1 => 0,
+            Width::B4 => 1,
+            Width::B8 => 2,
+        };
+        match self {
+            Add => 0,
+            Sub => 1,
+            Mul => 2,
+            Div => 3,
+            Rem => 4,
+            And => 5,
+            Or => 6,
+            Xor => 7,
+            Shl => 8,
+            Shr => 9,
+            AddI => 10,
+            MulI => 11,
+            AndI => 12,
+            ShlI => 13,
+            ShrI => 14,
+            MovI => 15,
+            Mov => 16,
+            Neg => 17,
+            Abs => 18,
+            Min => 19,
+            Max => 20,
+            Sel => 21,
+            CmpEq => 22,
+            CmpNe => 23,
+            CmpLt => 24,
+            CmpLe => 25,
+            CmpEqI => 26,
+            CmpLtI => 27,
+            CmpGtI => 28,
+            PAnd => 29,
+            POr => 30,
+            PNot => 31,
+            PMovI => 32,
+            PMov => 33,
+            P2I => 34,
+            I2P => 35,
+            FAdd => 36,
+            FSub => 37,
+            FMul => 38,
+            FDiv => 39,
+            FSqrt => 40,
+            FAbs => 41,
+            FNeg => 42,
+            FMin => 43,
+            FMax => 44,
+            FMovI => 45,
+            FMov => 46,
+            FSel => 47,
+            FCmpEq => 48,
+            FCmpLt => 49,
+            FCmpLe => 50,
+            I2F => 51,
+            F2I => 52,
+            FBits => 53,
+            BitsF => 54,
+            Ld(w) => 55 + width(w),
+            St(w) => 58 + width(w),
+            FLd => 61,
+            FSt => 62,
+            Prefetch => 63,
+            Br => 64,
+            CBr => 65,
+            Ret => 66,
+            Call => 67,
+            UnsafeCall => 68,
+        }
+    }
+
     /// Short mnemonic used by the IR printer.
     pub fn mnemonic(self) -> &'static str {
         use Opcode::*;
@@ -491,6 +569,33 @@ mod tests {
         assert!(Opcode::FSt.is_store());
         assert!(Opcode::Prefetch.is_mem());
         assert!(!Opcode::Prefetch.is_load());
+    }
+
+    #[test]
+    fn opcode_codes_are_distinct() {
+        use Opcode::*;
+        use Width::*;
+        // Every opcode and width, in code order.
+        #[rustfmt::skip]
+        let all = [
+            Add, Sub, Mul, Div, Rem, And, Or, Xor, Shl, Shr,
+            AddI, MulI, AndI, ShlI, ShrI, MovI, Mov, Neg, Abs, Min, Max, Sel,
+            CmpEq, CmpNe, CmpLt, CmpLe, CmpEqI, CmpLtI, CmpGtI,
+            PAnd, POr, PNot, PMovI, PMov, P2I, I2P,
+            FAdd, FSub, FMul, FDiv, FSqrt, FAbs, FNeg, FMin, FMax, FMovI, FMov, FSel,
+            FCmpEq, FCmpLt, FCmpLe,
+            I2F, F2I, FBits, BitsF,
+            Ld(B1), Ld(B4), Ld(B8), St(B1), St(B4), St(B8), FLd, FSt, Prefetch,
+            Br, CBr, Ret, Call, UnsafeCall,
+        ];
+        for (i, op) in all.iter().enumerate() {
+            assert_eq!(op.code() as usize, i, "{op}");
+        }
+        // Distinct mnemonics: the list names no opcode twice.
+        let mut names: Vec<_> = all.iter().map(|op| op.mnemonic()).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), all.len());
     }
 
     #[test]

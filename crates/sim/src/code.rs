@@ -39,6 +39,68 @@ impl MachineProgram {
     pub fn num_bundles(&self) -> usize {
         self.blocks.iter().map(|b| b.len()).sum()
     }
+
+    /// Append a compact, injective byte encoding of the program to `out`.
+    ///
+    /// Two programs encode to the same bytes exactly when `entry`, the
+    /// block and bundle boundaries, and every field of every instruction
+    /// agree, with `fimm` compared by bit pattern: `0.0` and `-0.0`
+    /// differ, and a NaN matches only the same NaN payload (unlike the
+    /// derived `PartialEq`). Injectivity holds because every sequence is
+    /// length-prefixed, and each instruction is a one-byte opcode
+    /// ([`Opcode::code`]) and a flags byte saying which of the optional
+    /// fields follow, each as a prefix-free LEB128 varint. An omitted
+    /// `imm` or `fimm` is zero (`fimm` bits zero, i.e. `+0.0`).
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        put_varint(out, self.entry as u64);
+        put_varint(out, self.blocks.len() as u64);
+        for block in &self.blocks {
+            put_varint(out, block.len() as u64);
+            for bundle in block {
+                put_varint(out, bundle.insts.len() as u64);
+                for inst in &bundle.insts {
+                    // Zigzag keeps small negative offsets short.
+                    let imm = ((inst.imm << 1) ^ (inst.imm >> 63)) as u64;
+                    let fimm = inst.fimm.to_bits();
+                    let nargs = inst.args.len().min(ARGS_FOLLOW);
+                    let flags = u8::from(inst.dst.is_some())
+                        | u8::from(inst.target.is_some()) << 1
+                        | u8::from(inst.pred.is_some()) << 2
+                        | u8::from(imm != 0) << 3
+                        | u8::from(fimm != 0) << 4
+                        | (nargs as u8) << 5;
+                    out.extend_from_slice(&[inst.op.code(), flags]);
+                    if nargs == ARGS_FOLLOW {
+                        put_varint(out, inst.args.len() as u64);
+                    }
+                    let present = [
+                        inst.dst.map(|r| u64::from(r.0)),
+                        inst.target.map(|t| u64::from(t.0)),
+                        inst.pred.map(|p| u64::from(p.0)),
+                        (imm != 0).then_some(imm),
+                        (fimm != 0).then_some(fimm),
+                    ];
+                    let args = inst.args.iter().map(|a| u64::from(a.0));
+                    for v in present.into_iter().flatten().chain(args) {
+                        put_varint(out, v);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The 3-bit argument count in an encoded instruction's flags byte; at
+/// this value the real count follows as a varint.
+const ARGS_FOLLOW: usize = 7;
+
+/// LEB128: seven bits per byte, high bit set on all but the last.
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
 }
 
 /// Check that `mp` is executable on `cfg`: per-bundle functional-unit usage

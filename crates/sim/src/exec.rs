@@ -480,8 +480,8 @@ pub fn simulate_noisy(
 }
 
 /// [`simulate_noisy`] under an explicit execution [`SimTier`]. The noise is
-/// applied to the simulated cycle count after the run, so it is identical
-/// across tiers by construction.
+/// applied to the simulated cycle count after the run ([`apply_noise`]), so
+/// it is identical across tiers by construction.
 pub fn simulate_noisy_tier(
     mp: &MachineProgram,
     cfg: &MachineConfig,
@@ -491,54 +491,63 @@ pub fn simulate_noisy_tier(
     tier: SimTier,
 ) -> Result<SimResult, SimError> {
     let mut r = simulate_tier(mp, cfg, memory, tier)?;
+    r.cycles = apply_noise(r.cycles, amplitude, seed);
+    Ok(r)
+}
+
+/// Multiplicative measurement noise on a simulated cycle count:
+/// `cycles * (1 + amplitude * u)`, rounded and at least 1, with `u` drawn
+/// uniformly from `[-1, 1)` by a deterministic xorshift of `seed`. A pure
+/// function of its arguments, so noise can be applied to a cycle count
+/// computed (or cached) earlier.
+pub fn apply_noise(cycles: u64, amplitude: f64, seed: u64) -> u64 {
     let mut x = seed.wrapping_mul(0x9E3779B97F4A7C15).max(1);
     x ^= x << 13;
     x ^= x >> 7;
     x ^= x << 17;
     let u = (x >> 11) as f64 / (1u64 << 53) as f64; // [0,1)
     let factor = 1.0 + amplitude * (2.0 * u - 1.0);
-    r.cycles = ((r.cycles as f64) * factor).round().max(1.0) as u64;
-    Ok(r)
+    ((cycles as f64) * factor).round().max(1.0) as u64
 }
 
-/// Run [`simulate_tier`] (or [`simulate_noisy_tier`] when `noise` is set)
-/// and emit one `sim` trace event per completed simulation: simulated
-/// `cycles` and `insts`, the host-side wall time as `dur_ns`, and the
-/// executing `tier`. Failed simulations emit nothing — the caller's
-/// evaluation layer records the failure in its own taxonomy.
-pub fn simulate_traced(
-    mp: &MachineProgram,
-    cfg: &MachineConfig,
-    memory: Vec<u8>,
-    noise: Option<(f64, u64)>,
-    tier: SimTier,
+/// Record one answered simulation in `tracer`: a `sim` event carrying the
+/// (post-noise) `cycles`, `insts`, the wall time since `span` began as
+/// `dur_ns`, and the executing `tier`, plus `cached: true` when a cache
+/// answered instead of the simulator. Registry counters: simulator runs
+/// feed `metaopt_sim_total`/`_cycles_total`/`_wall_ns_total` (the live
+/// cycles/sec), cache answers feed `metaopt_sim_cache_hits_total` only.
+/// Failed simulations are not recorded — the evaluation layer reports the
+/// failure in its own taxonomy.
+pub fn record_sim(
     tracer: &metaopt_trace::Tracer,
-) -> Result<SimResult, SimError> {
-    let span = tracer.begin();
-    let result = match noise {
-        Some((amplitude, seed)) => simulate_noisy_tier(mp, cfg, memory, amplitude, seed, tier),
-        None => simulate_tier(mp, cfg, memory, tier),
-    };
-    if let Ok(r) = &result {
-        if let Some(m) = tracer.metrics() {
+    span: &metaopt_trace::Span,
+    cycles: u64,
+    insts: u64,
+    tier: SimTier,
+    cached: bool,
+) {
+    if let Some(m) = tracer.metrics() {
+        if cached {
+            m.counter("metaopt_sim_cache_hits_total").inc();
+        } else {
             m.counter("metaopt_sim_total").inc();
-            m.counter("metaopt_sim_cycles_total").add(r.cycles);
+            m.counter("metaopt_sim_cycles_total").add(cycles);
             m.counter("metaopt_sim_wall_ns_total").add(span.dur_ns());
         }
-        if tracer.enabled() {
-            use metaopt_trace::json::Value;
-            tracer.emit(
-                "sim",
-                [
-                    ("cycles", Value::UInt(r.cycles)),
-                    ("insts", Value::UInt(r.insts)),
-                    ("dur_ns", Value::UInt(span.dur_ns())),
-                    ("tier", Value::Str(tier.as_str().to_string())),
-                ],
-            );
-        }
     }
-    result
+    if tracer.enabled() {
+        use metaopt_trace::json::Value;
+        let mut attrs = vec![
+            ("cycles", Value::UInt(cycles)),
+            ("insts", Value::UInt(insts)),
+            ("dur_ns", Value::UInt(span.dur_ns())),
+            ("tier", Value::Str(tier.as_str().to_string())),
+        ];
+        if cached {
+            attrs.push(("cached", Value::Bool(true)));
+        }
+        tracer.emit("sim", attrs);
+    }
 }
 
 #[cfg(test)]
@@ -744,6 +753,48 @@ mod tests {
         let lo = (base as f64 * 0.94).floor() as u64;
         let hi = (base as f64 * 1.06).ceil() as u64;
         assert!(a.cycles >= lo.max(1) && a.cycles <= hi.max(2));
+    }
+
+    #[test]
+    fn noisy_simulation_is_apply_noise_of_the_plain_run() {
+        // A loop long enough that noise moves the cycle count.
+        let mp = MachineProgram {
+            blocks: vec![
+                vec![
+                    bundle(vec![Inst::new(Opcode::MovI).dst(VReg(0)).imm(40)]),
+                    bundle(vec![Inst::new(Opcode::Br).target(BlockId(1))]),
+                ],
+                vec![
+                    bundle(vec![Inst::new(Opcode::AddI)
+                        .dst(VReg(0))
+                        .args(&[VReg(0)])
+                        .imm(-1)]),
+                    bundle(vec![Inst::new(Opcode::CmpGtI)
+                        .dst(VReg(1))
+                        .args(&[VReg(0)])
+                        .imm(0)]),
+                    bundle(vec![Inst::new(Opcode::CBr)
+                        .args(&[VReg(1)])
+                        .target(BlockId(1))]),
+                    bundle(vec![Inst::new(Opcode::Ret).args(&[VReg(0)])]),
+                ],
+            ],
+            entry: 0,
+        };
+        let cfg = MachineConfig::table3();
+        for tier in [SimTier::Fast, SimTier::Reference] {
+            let plain = simulate_tier(&mp, &cfg, vec![0u8; 4096], tier).unwrap();
+            for amplitude in [0.0, 0.01, 0.05, 0.5] {
+                for seed in [0, 1, 7, 0xDEAD_BEEF, u64::MAX] {
+                    let noisy =
+                        simulate_noisy_tier(&mp, &cfg, vec![0u8; 4096], amplitude, seed, tier)
+                            .unwrap();
+                    let mut expect = plain.clone();
+                    expect.cycles = apply_noise(plain.cycles, amplitude, seed);
+                    assert_eq!(noisy, expect, "{tier} amplitude {amplitude} seed {seed}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -42,5 +42,5 @@ pub mod predictor;
 
 pub use bytecode::BytecodeProgram;
 pub use code::{Bundle, MachineProgram};
-pub use exec::{simulate, simulate_tier, simulate_traced, SimError, SimResult, SimTier};
+pub use exec::{simulate, simulate_tier, SimError, SimResult, SimTier};
 pub use machine::{CacheConfig, MachineConfig};

@@ -135,10 +135,14 @@ pub struct Report {
     pub validation: Vec<ValidateRow>,
     /// Quarantine counts per error class, in first-seen order.
     pub quarantine: Vec<(String, u64)>,
-    /// Number of simulations and their total simulated cycles.
+    /// Number of simulator runs and their total simulated cycles (`sim`
+    /// events not answered by the simulation cache).
     pub sims: (u64, u64),
-    /// Total wall nanoseconds spent inside the simulator (`sim` events).
+    /// Total wall nanoseconds spent inside the simulator (simulator runs).
     pub sim_ns: u64,
+    /// Simulations answered by the simulation cache (`cached` `sim`
+    /// events); they count toward neither `sims` nor `sim_ns`.
+    pub sim_cache_hits: u64,
     /// Number of checkpoint writes and their total wall nanoseconds.
     pub checkpoints: (u64, u64),
     /// Uncached evaluations across the whole trace.
@@ -363,6 +367,13 @@ impl Report {
                 self.sims.0, self.sims.1
             ));
         }
+        if self.sim_cache_hits > 0 {
+            out.push_str(&format!(
+                "simulation cache: {} of {} simulations answered\n",
+                self.sim_cache_hits,
+                self.sim_cache_hits + self.sims.0
+            ));
+        }
         if self.checkpoints.0 > 0 {
             out.push_str(&format!(
                 "checkpoints: {} writes, {:.1}ms total\n",
@@ -512,6 +523,9 @@ pub fn analyze(text: &str) -> Result<Report, SchemaError> {
                 Some("recovered") => report.reliability.cache_recovered += 1,
                 _ => report.reliability.cache_degraded += 1,
             },
+            "sim" if matches!(v.get("cached"), Some(Value::Bool(true))) => {
+                report.sim_cache_hits += 1;
+            }
             "sim" => {
                 report.sims.0 += 1;
                 report.sims.1 += u("cycles");
@@ -789,6 +803,35 @@ mod tests {
         let quiet = analyze(&quiet.lines().unwrap().join("\n")).unwrap();
         assert!(quiet.reliability.is_quiet());
         assert!(!quiet.render().contains("reliability:"));
+    }
+
+    #[test]
+    fn cached_simulations_are_counted_apart_from_simulator_runs() {
+        let t = Tracer::in_memory();
+        for (cycles, dur_ns, cached) in [(100, 50, false), (100, 1, true), (300, 50, true)] {
+            let mut attrs = vec![
+                ("cycles", Value::UInt(cycles)),
+                ("insts", Value::UInt(10)),
+                ("dur_ns", Value::UInt(dur_ns)),
+                ("tier", Value::str("fast")),
+            ];
+            if cached {
+                attrs.push(("cached", Value::Bool(true)));
+            }
+            t.emit("sim", attrs);
+        }
+        let r = analyze(&t.lines().unwrap().join("\n")).unwrap();
+        assert_eq!((r.sims, r.sim_ns, r.sim_cache_hits), ((1, 100), 50, 2));
+        // Lookups take no simulator time, so they stay out of cycles/sec.
+        assert!((r.sim_cycles_per_sec() - 2e9).abs() < 1.0);
+        assert!(r
+            .render()
+            .contains("simulation cache: 2 of 3 simulations answered\n"));
+        // Without cached events the line is absent.
+        assert!(!analyze(&synthetic_trace())
+            .unwrap()
+            .render()
+            .contains("simulation cache"));
     }
 
     #[test]

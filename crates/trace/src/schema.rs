@@ -198,6 +198,18 @@ pub const EVENT_TYPES: &[(&str, &[(&str, FieldKind)])] = &[
     ),
 ];
 
+/// Optional attributes per event type (additive within v1): an event may
+/// omit them, but one that carries them must give them this shape.
+pub const OPTIONAL_ATTRS: &[(&str, &[(&str, FieldKind)])] = &[
+    // `tier` names the simulator tier that ran; `cached: true` marks a
+    // simulation answered by the evaluator's simulation cache, with
+    // `dur_ns` the lookup time.
+    (
+        "sim",
+        &[("tier", FieldKind::Str), ("cached", FieldKind::Bool)],
+    ),
+];
+
 /// The `eval` outcome label for a successful evaluation; any other label is
 /// a quarantine error class.
 pub const OUTCOME_SCORE: &str = "score";
@@ -266,6 +278,15 @@ pub fn validate_line(lineno: usize, line: &str) -> Result<String, SchemaError> {
             Some(_) => {}
         }
     }
+    let optional = OPTIONAL_ATTRS
+        .iter()
+        .filter(|(name, _)| *name == ty)
+        .flat_map(|(_, attrs)| attrs.iter());
+    for (key, kind) in optional {
+        if v.get(key).is_some_and(|val| !kind.matches(val)) {
+            return Err(err(format!("event {ty:?} field {key:?} is not a {kind:?}")));
+        }
+    }
     // Conditional contracts.
     if ty == "trace-header" {
         if lineno != 1 {
@@ -290,8 +311,7 @@ pub fn validate_line(lineno: usize, line: &str) -> Result<String, SchemaError> {
             "eval with outcome \"score\" lacks a numeric \"score\"".to_string()
         ));
     }
-    // Sim events may carry the executing tier (additive within v1); when
-    // present it must be one of the known tier names.
+    // A sim event's tier, when present, must be one of the known names.
     if ty == "sim" {
         if let Some(tier) = v.get("tier") {
             let known = matches!(tier.as_str(), Some("fast" | "reference"));
@@ -556,6 +576,23 @@ mod tests {
             .unwrap_err()
             .message
             .contains("tier"));
+    }
+
+    #[test]
+    fn sim_cached_attribute_is_optional_but_boolean() {
+        let header = smoke_trace().lines().next().unwrap().to_string();
+        let sim = |cached: &str| {
+            format!(
+                "{header}\n{{\"type\":\"sim\",\"ts\":1,\"cycles\":10,\"insts\":4,\
+                 \"dur_ns\":100,\"tier\":\"fast\"{cached}}}"
+            )
+        };
+        validate_trace(&sim("")).unwrap();
+        validate_trace(&sim(",\"cached\":true")).unwrap();
+        assert!(validate_trace(&sim(",\"cached\":1"))
+            .unwrap_err()
+            .message
+            .contains("cached"));
     }
 
     fn front_line(size: u64, points: &str) -> String {
