@@ -1,8 +1,10 @@
-//! Criterion micro-benchmarks of the substrate: interpreter throughput,
-//! compilation pipeline latency, and cycle-simulator throughput — the three
-//! costs that bound a GP fitness evaluation.
+//! Criterion micro-benchmarks of the substrate: interpreter throughput
+//! (plain and profiling), compilation pipeline latency, and cycle-simulator
+//! throughput — the three costs that bound a GP fitness evaluation — plus
+//! benchmark preparation, the set-up paid once per benchmark before a search.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use metaopt::{study, PreparedBench};
 use metaopt_compiler::{compile, prepare, Passes};
 use metaopt_ir::interp::{run, RunConfig};
 use metaopt_sim::simulate;
@@ -20,6 +22,24 @@ fn bench_interp(c: &mut Criterion) {
             };
             run(&prog, &cfg).expect("runs")
         })
+    });
+    c.bench_function("interp/rawcaudio-profiled", |bench| {
+        bench.iter(|| {
+            let cfg = RunConfig {
+                memory: Some(mem.clone()),
+                profile: true,
+                ..Default::default()
+            };
+            run(&prog, &cfg).expect("runs")
+        })
+    });
+}
+
+fn bench_prepare(c: &mut Criterion) {
+    let b = by_name("rawcaudio").expect("registered");
+    let cfg = study::hyperblock();
+    c.bench_function("prepare/rawcaudio", |bench| {
+        bench.iter(|| PreparedBench::try_new(&cfg, &b).expect("prepares"))
     });
 }
 
@@ -61,6 +81,6 @@ fn bench_compile(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_interp, bench_compile
+    targets = bench_interp, bench_compile, bench_prepare
 }
 criterion_main!(benches);

@@ -23,6 +23,7 @@ use metaopt_trace::json::Value;
 use metaopt_trace::Tracer;
 use std::fmt;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Failure of an experiment driver: either benchmark preparation broke
 /// (setup problem) or checkpoint I/O did (operational problem). Genome
@@ -116,6 +117,51 @@ pub struct SpecializationResult {
 
 fn speedup_or_nan(pb: &PreparedBench, study: &StudyConfig, expr: &Expr, ds: DataSet) -> f64 {
     pb.try_speedup(study, expr, ds).unwrap_or(f64::NAN)
+}
+
+/// Per-benchmark `(name, train-data speedup, novel-data speedup)` of
+/// `expr`, in benchmark order. The benchmark × data-set evaluations are
+/// independent and deterministic, so they are spread over `threads`
+/// scoped workers that claim them in order; the result does not depend on
+/// the thread count.
+fn speedups_by_bench(
+    prepared: &[PreparedBench],
+    study: &StudyConfig,
+    expr: &Expr,
+    threads: usize,
+) -> Vec<(String, f64, f64)> {
+    const DATA_SETS: [DataSet; 2] = [DataSet::Train, DataSet::Novel];
+    let items = prepared.len() * 2;
+    let eval = |i: usize| speedup_or_nan(&prepared[i / 2], study, expr, DATA_SETS[i % 2]);
+    let next = AtomicUsize::new(0);
+    let mut speedups = vec![f64::NAN; items];
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads.clamp(1, items.max(1)))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= items {
+                            break done;
+                        }
+                        done.push((i, eval(i)));
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            let done = h.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
+            for (i, s) in done {
+                speedups[i] = s;
+            }
+        }
+    });
+    prepared
+        .iter()
+        .zip(speedups.chunks(2))
+        .map(|(pb, s)| (pb.name.clone(), s[0], s[1]))
+        .collect()
 }
 
 /// Mean of the finite entries; `NaN` when none are.
@@ -233,6 +279,7 @@ pub fn train_general_controlled(
         .map(|b| PreparedBench::try_new(study, b))
         .collect::<Result<Vec<PreparedBench>, PrepareError>>()?;
     let evaluator = StudyEvaluator::new(study, &prepared).with_tracer(control.tracer.clone());
+    let threads = params.threads;
     let mut params = params.clone();
     params.kind = study.genome_kind;
     if params.subset_size.is_none() && benches.len() > 4 {
@@ -253,16 +300,7 @@ pub fn train_general_controlled(
         evo = evo.with_eval_cache(path);
     }
     let result = evo.try_run()?;
-    let per_bench: Vec<(String, f64, f64)> = prepared
-        .iter()
-        .map(|pb| {
-            (
-                pb.name.clone(),
-                speedup_or_nan(pb, study, &result.best, DataSet::Train),
-                speedup_or_nan(pb, study, &result.best, DataSet::Novel),
-            )
-        })
-        .collect();
+    let per_bench = speedups_by_bench(&prepared, study, &result.best, threads);
     Ok(GeneralResult {
         mean_train: mean_finite(per_bench.iter().map(|x| x.1)),
         mean_novel: mean_finite(per_bench.iter().map(|x| x.2)),
@@ -677,6 +715,37 @@ mod tests {
             seed,
             threads: 2,
             ..GpParams::quick()
+        }
+    }
+
+    #[test]
+    fn winner_speedups_are_thread_count_independent() {
+        let cfg = study::hyperblock();
+        let prepared: Vec<PreparedBench> = ["unepic", "rawdaudio", "codrle4"]
+            .iter()
+            .map(|n| PreparedBench::new(&cfg, &metaopt_suite::by_name(n).unwrap()))
+            .collect();
+        let expr = metaopt_gp::parse::parse_expr("(mul exec_ratio 2.0)", &cfg.features).unwrap();
+        let bits = |rows: Vec<(String, f64, f64)>| -> Vec<(String, u64, u64)> {
+            rows.into_iter()
+                .map(|(n, t, v)| (n, t.to_bits(), v.to_bits()))
+                .collect()
+        };
+        let serial = bits(
+            prepared
+                .iter()
+                .map(|pb| {
+                    (
+                        pb.name.clone(),
+                        speedup_or_nan(pb, &cfg, &expr, DataSet::Train),
+                        speedup_or_nan(pb, &cfg, &expr, DataSet::Novel),
+                    )
+                })
+                .collect(),
+        );
+        for threads in [0, 1, 2, 4, 16] {
+            let got = bits(speedups_by_bench(&prepared, &cfg, &expr, threads));
+            assert_eq!(got, serial, "threads = {threads}");
         }
     }
 

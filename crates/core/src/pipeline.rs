@@ -99,9 +99,26 @@ pub struct PreparedBench {
     novel_ret: i64,
 }
 
+/// Run the `train` and `novel` halves of a preparation step concurrently,
+/// the novel half on a scoped thread, and return both results. A panic in
+/// either half propagates.
+fn train_and_novel<T: Send>(train: impl FnOnce() -> T, novel: impl FnOnce() -> T + Send) -> (T, T) {
+    std::thread::scope(|s| {
+        let novel = s.spawn(novel);
+        let train = train();
+        let novel = novel
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        (train, novel)
+    })
+}
+
 impl PreparedBench {
     /// Prepare `bench` for `study`: inline, profile on the train data,
     /// verify both data sets in the interpreter, and time the baseline.
+    /// The two data sets are independent, so each step runs its train and
+    /// novel halves concurrently; when both fail, the train error is the
+    /// one reported.
     pub fn try_new(study: &StudyConfig, bench: &Benchmark) -> Result<Self, PrepareError> {
         let err = |message: String| PrepareError {
             bench: bench.name.to_string(),
@@ -112,25 +129,25 @@ impl PreparedBench {
         let train_mem = bench.try_memory(&prepared, DataSet::Train)?;
         let novel_mem = bench.try_memory(&prepared, DataSet::Novel)?;
 
-        let train_out = run(
-            &prepared,
-            &RunConfig {
-                memory: Some(train_mem.clone()),
-                profile: true,
-                max_steps: budget::KERNEL_VERIFY_MAX_STEPS,
-                ..Default::default()
-            },
-        )
-        .map_err(|e| err(format!("reference run on train data failed: {e}")))?;
-        let novel_out = run(
-            &prepared,
-            &RunConfig {
-                memory: Some(novel_mem.clone()),
-                max_steps: budget::KERNEL_VERIFY_MAX_STEPS,
-                ..Default::default()
-            },
-        )
-        .map_err(|e| err(format!("reference run on novel data failed: {e}")))?;
+        let reference = |mem: &Vec<u8>, profile: bool| {
+            run(
+                &prepared,
+                &RunConfig {
+                    memory: Some(mem.clone()),
+                    profile,
+                    max_steps: budget::KERNEL_VERIFY_MAX_STEPS,
+                    ..Default::default()
+                },
+            )
+        };
+        let (train_out, novel_out) = train_and_novel(
+            || reference(&train_mem, true),
+            || reference(&novel_mem, false),
+        );
+        let train_out =
+            train_out.map_err(|e| err(format!("reference run on train data failed: {e}")))?;
+        let novel_out =
+            novel_out.map_err(|e| err(format!("reference run on novel data failed: {e}")))?;
         let profile = train_out.profile.expect("profile requested").funcs[0].clone();
 
         let mut eval_machine = study.machine.clone();
@@ -156,28 +173,22 @@ impl PreparedBench {
         let compiled = compile(&pb.prepared, &pb.profile, &study.machine, &passes)
             .map_err(|e| err(format!("baseline compilation failed: {e}")))?;
         pb.baseline_stats = compiled.stats.clone();
-        pb.baseline_train_cycles = pb
-            .try_simulate(
+        let baseline = |ds| {
+            pb.try_simulate(
                 study,
                 &study.machine,
                 &compiled,
-                DataSet::Train,
+                ds,
                 0,
                 None,
                 &Tracer::disabled(),
             )
-            .map_err(|e| err(format!("baseline timing failed: {e}")))?;
-        pb.baseline_novel_cycles = pb
-            .try_simulate(
-                study,
-                &study.machine,
-                &compiled,
-                DataSet::Novel,
-                0,
-                None,
-                &Tracer::disabled(),
-            )
-            .map_err(|e| err(format!("baseline timing failed: {e}")))?;
+            .map_err(|e| err(format!("baseline timing failed: {e}")))
+        };
+        let (train_cycles, novel_cycles) =
+            train_and_novel(|| baseline(DataSet::Train), || baseline(DataSet::Novel));
+        pb.baseline_train_cycles = train_cycles?;
+        pb.baseline_novel_cycles = novel_cycles?;
         Ok(pb)
     }
 
@@ -794,6 +805,41 @@ impl metaopt_gp::PlanSpace for StudyPlanSpace {
 mod tests {
     use super::*;
     use crate::study;
+
+    #[test]
+    fn preparation_reports_the_train_failure_first() {
+        // Each source reads `a[dataseed]`, far outside memory, on the data
+        // sets its guard lets through.
+        let prepare_err = |guard: &str| {
+            let source = format!(
+                "global int dataseed;\nglobal int a[4];\n\
+                 fn main() -> int {{ if ({guard}) {{ return a[dataseed]; }} return 0; }}\n"
+            );
+            let bench = Benchmark {
+                name: "oob",
+                suite: "test",
+                description: "out-of-bounds read",
+                category: metaopt_suite::Category::IntMedia,
+                source: Box::leak(source.into_boxed_str()),
+            };
+            match PreparedBench::try_new(&study::hyperblock(), &bench) {
+                Ok(_) => panic!("`{guard}` prepared"),
+                Err(e) => e.message,
+            }
+        };
+        let novel = DataSet::Novel.seed();
+        for (guard, want) in [
+            ("dataseed != 0".to_string(), "train"),
+            (format!("dataseed != {novel}"), "train"),
+            (format!("dataseed == {novel}"), "novel"),
+        ] {
+            let message = prepare_err(&guard);
+            assert!(
+                message.starts_with(&format!("reference run on {want} data failed")),
+                "`{guard}`: {message}"
+            );
+        }
+    }
 
     #[test]
     fn baseline_seed_reproduces_baseline_cycles() {

@@ -9,7 +9,6 @@ use crate::inst::{Opcode, Width};
 use crate::profile::{BranchStats, FuncProfile, Profile};
 use crate::program::{Program, UNSAFE_SCRATCH_BASE};
 use crate::types::{BlockId, FuncId, RegClass, VReg};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Interpreter failure.
@@ -171,6 +170,94 @@ pub fn write_mem(mem: &mut [u8], addr: i64, w: Width, v: i64) -> Result<(), Inte
 
 const MAX_STACK: usize = 1024;
 
+/// Profiler counters of one static instruction.
+#[derive(Clone, Copy)]
+struct SiteCounters {
+    /// 2-bit saturating predictor state, shared across calls.
+    counter: u8,
+    /// Branch statistics (conditional branches only).
+    branch: BranchStats,
+    /// Times this instruction transferred control to its `target`.
+    taken_edges: u64,
+}
+
+/// The profiler's run-time state. Every static instruction owns a dense
+/// slot, `base[func][block] + ip`, so the hot loop indexes a `Vec` instead
+/// of hashing; [`Profiler::finish`] folds the slots into the
+/// [`FuncProfile`] maps once. The fold is exact: a taken edge always leads
+/// to the `target` of the instruction that took it, and a map entry exists
+/// exactly for the slots that counted something.
+struct Profiler {
+    base: Vec<Vec<usize>>,
+    sites: Vec<SiteCounters>,
+    block_counts: Vec<Vec<u64>>,
+}
+
+impl Profiler {
+    fn new(prog: &Program) -> Self {
+        let mut slots = 0;
+        let base = prog
+            .funcs
+            .iter()
+            .map(|f| {
+                f.blocks
+                    .iter()
+                    .map(|b| {
+                        let start = slots;
+                        slots += b.insts.len();
+                        start
+                    })
+                    .collect()
+            })
+            .collect();
+        let fresh = SiteCounters {
+            counter: 1, // weakly not-taken
+            branch: BranchStats::default(),
+            taken_edges: 0,
+        };
+        Profiler {
+            base,
+            sites: vec![fresh; slots],
+            block_counts: prog.funcs.iter().map(|f| vec![0; f.blocks.len()]).collect(),
+        }
+    }
+
+    #[inline]
+    fn site(&mut self, func: FuncId, block: BlockId, ip: usize) -> &mut SiteCounters {
+        &mut self.sites[self.base[func.index()][block.index()] + ip]
+    }
+
+    fn finish(self, prog: &Program, dyn_insts: u64) -> Profile {
+        let sites = &self.sites;
+        let funcs = prog
+            .funcs
+            .iter()
+            .zip(self.base)
+            .zip(self.block_counts)
+            .map(|((f, base), block_counts)| {
+                let mut fp = FuncProfile {
+                    block_counts,
+                    ..Default::default()
+                };
+                for (bi, (block, start)) in f.blocks.iter().zip(base).enumerate() {
+                    let b = BlockId(bi as u32);
+                    for (ip, (inst, site)) in block.insts.iter().zip(&sites[start..]).enumerate() {
+                        if site.branch.executed > 0 {
+                            fp.branches.insert((b, ip), site.branch);
+                        }
+                        if site.taken_edges > 0 {
+                            let t = inst.target.expect("control moved to a target");
+                            *fp.edge_counts.entry((b, t)).or_insert(0) += site.taken_edges;
+                        }
+                    }
+                }
+                fp
+            })
+            .collect();
+        Profile { funcs, dyn_insts }
+    }
+}
+
 /// Execute `prog` under `cfg`.
 ///
 /// # Errors
@@ -188,23 +275,7 @@ pub fn run(prog: &Program, cfg: &RunConfig) -> Result<Outcome, InterpError> {
         None => prog.initial_memory(),
     };
 
-    let mut profile = if cfg.profile {
-        Some(Profile {
-            funcs: prog
-                .funcs
-                .iter()
-                .map(|f| FuncProfile {
-                    block_counts: vec![0; f.blocks.len()],
-                    ..Default::default()
-                })
-                .collect(),
-            dyn_insts: 0,
-        })
-    } else {
-        None
-    };
-    // 2-bit saturating counters per static branch site, shared across calls.
-    let mut predictor: HashMap<(u32, u32, u32), u8> = HashMap::new();
+    let mut profiler = cfg.profile.then(|| Profiler::new(prog));
 
     let mut stack: Vec<Frame> = Vec::new();
     let mut frame = new_frame(prog, entry, None);
@@ -216,8 +287,8 @@ pub fn run(prog: &Program, cfg: &RunConfig) -> Result<Outcome, InterpError> {
             RegClass::Pred => frame.preds[p.index()] = v != 0,
         }
     }
-    if let Some(pr) = &mut profile {
-        pr.funcs[entry.index()].block_counts[frame.block.index()] += 1;
+    if let Some(pr) = &mut profiler {
+        pr.block_counts[entry.index()][frame.block.index()] += 1;
     }
 
     let mut steps: u64 = 0;
@@ -370,19 +441,14 @@ pub fn run(prog: &Program, cfg: &RunConfig) -> Result<Outcome, InterpError> {
             Opcode::Br => next_block = inst.target,
             Opcode::CBr => {
                 let taken = parg!(0);
-                if let Some(pr) = &mut profile {
-                    let key = (frame.func.0, frame.block.0, frame.ip as u32);
-                    let ctr = predictor.entry(key).or_insert(1); // weakly not-taken
-                    let predicted_taken = *ctr >= 2;
-                    *ctr = match (taken, *ctr) {
+                if let Some(pr) = &mut profiler {
+                    let site = pr.site(frame.func, frame.block, frame.ip);
+                    let predicted_taken = site.counter >= 2;
+                    site.counter = match (taken, site.counter) {
                         (true, c) => (c + 1).min(3),
                         (false, c) => c.saturating_sub(1),
                     };
-                    let fp = &mut pr.funcs[frame.func.index()];
-                    let st = fp
-                        .branches
-                        .entry((frame.block, frame.ip))
-                        .or_insert_with(BranchStats::default);
+                    let st = &mut site.branch;
                     st.executed += 1;
                     if taken {
                         st.taken += 1;
@@ -426,8 +492,8 @@ pub fn run(prog: &Program, cfg: &RunConfig) -> Result<Outcome, InterpError> {
                         RegClass::Pred => callee_frame.preds[p.index()] = parg!(ai),
                     }
                 }
-                if let Some(pr) = &mut profile {
-                    pr.funcs[callee.index()].block_counts[callee_frame.block.index()] += 1;
+                if let Some(pr) = &mut profiler {
+                    pr.block_counts[callee.index()][callee_frame.block.index()] += 1;
                 }
                 stack.push(frame);
                 frame = callee_frame;
@@ -444,10 +510,9 @@ pub fn run(prog: &Program, cfg: &RunConfig) -> Result<Outcome, InterpError> {
 
         match next_block {
             Some(t) => {
-                if let Some(pr) = &mut profile {
-                    let fp = &mut pr.funcs[frame.func.index()];
-                    *fp.edge_counts.entry((frame.block, t)).or_insert(0) += 1;
-                    fp.block_counts[t.index()] += 1;
+                if let Some(pr) = &mut profiler {
+                    pr.site(frame.func, frame.block, frame.ip).taken_edges += 1;
+                    pr.block_counts[frame.func.index()][t.index()] += 1;
                 }
                 frame.block = t;
                 frame.ip = 0;
@@ -456,13 +521,10 @@ pub fn run(prog: &Program, cfg: &RunConfig) -> Result<Outcome, InterpError> {
         }
     }
 
-    if let Some(pr) = &mut profile {
-        pr.dyn_insts = steps;
-    }
     Ok(Outcome {
         ret: ret_val,
         steps,
-        profile,
+        profile: profiler.map(|pr| pr.finish(prog, steps)),
         memory: mem,
     })
 }
@@ -473,6 +535,7 @@ mod tests {
     use crate::builder::FunctionBuilder;
     use crate::program::{GlobalData, GlobalInit};
     use crate::types::RegClass;
+    use std::collections::HashMap;
 
     fn run_main(prog: &Program) -> Outcome {
         run(prog, &RunConfig::default()).unwrap()
@@ -706,5 +769,87 @@ mod tests {
         assert_eq!(stats.executed, 10);
         assert_eq!(stats.taken, 5);
         assert!(stats.predictability() < 0.7, "{stats:?}");
+    }
+
+    #[test]
+    fn profile_is_per_function_across_calls() {
+        use crate::inst::Inst;
+        use crate::profile::BranchStats;
+        // par(x) = x & 1 through a two-way branch; main sums par(0..10).
+        let mut par = FunctionBuilder::new("par");
+        let x = par.param(RegClass::Int);
+        let odd = par.new_block();
+        let even = par.new_block();
+        let bit = par.new_vreg(RegClass::Int);
+        par.push(Inst::new(Opcode::AndI).dst(bit).args(&[x]).imm(1));
+        let isodd = par.cmp_eqi(bit, 1);
+        par.branch(isodd, odd, even); // CBr at ip 2, Br at ip 3
+        par.switch_to(odd);
+        let one = par.movi(1);
+        par.ret(Some(one));
+        par.switch_to(even);
+        let zero = par.movi(0);
+        par.ret(Some(zero));
+
+        let mut main = FunctionBuilder::new("main");
+        let hdr = main.new_block();
+        let body = main.new_block();
+        let exit = main.new_block();
+        let i = main.new_vreg(RegClass::Int);
+        let acc = main.new_vreg(RegClass::Int);
+        let z = main.movi(0);
+        main.push(Inst::new(Opcode::Mov).dst(i).args(&[z]));
+        main.push(Inst::new(Opcode::Mov).dst(acc).args(&[z]));
+        main.br(hdr);
+        main.switch_to(hdr);
+        let p = main.cmp_lti(i, 10);
+        main.branch(p, body, exit); // CBr at ip 1
+        main.switch_to(body);
+        let r = main.call(0, &[i]);
+        let acc2 = main.add(acc, r);
+        main.push(Inst::new(Opcode::Mov).dst(acc).args(&[acc2]));
+        let i2 = main.addi(i, 1);
+        main.push(Inst::new(Opcode::Mov).dst(i).args(&[i2]));
+        main.br(hdr);
+        main.switch_to(exit);
+        main.ret(Some(acc));
+
+        let mut prog = Program::new();
+        let par_id = prog.add_function(par.finish());
+        let main_id = prog.add_function(main.finish());
+        let cfg = RunConfig {
+            profile: true,
+            ..Default::default()
+        };
+        let out = run(&prog, &cfg).unwrap();
+        assert_eq!(out.ret, 5);
+        let prof = out.profile.unwrap();
+        assert_eq!(prof.dyn_insts, out.steps);
+
+        let b = BlockId;
+        let stats = |executed, taken, correct| BranchStats {
+            executed,
+            taken,
+            correct,
+        };
+        let fp = prof.func(par_id);
+        assert_eq!(fp.block_counts, vec![10, 5, 5]);
+        let edges = HashMap::from([((b(0), odd), 5), ((b(0), even), 5)]);
+        assert_eq!(fp.edge_counts, edges);
+        // Alternating outcomes from a weakly-not-taken start: every
+        // not-taken call is predicted, every taken one is missed.
+        assert_eq!(fp.branches, HashMap::from([((b(0), 2), stats(10, 5, 5))]));
+
+        let fp = prof.func(main_id);
+        assert_eq!(fp.block_counts, vec![1, 11, 10, 1]);
+        let edges = HashMap::from([
+            ((b(0), hdr), 1),
+            ((hdr, body), 10),
+            ((body, hdr), 10),
+            ((hdr, exit), 1),
+        ]);
+        assert_eq!(fp.edge_counts, edges);
+        // Mispredicted on the first iteration and on loop exit only.
+        assert_eq!(fp.branches, HashMap::from([((hdr, 1), stats(11, 10, 9))]));
     }
 }
